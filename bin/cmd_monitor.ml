@@ -60,10 +60,17 @@ let introspect_every = 32
    be piped into the monitor (and into the compserve smoke tests).  A
    flush point is the arrival of each new root declaration — chunked
    streams are root-major, so each flush certifies exactly one more
-   root.  A prefix that does not yet parse, is not yet model-valid, or
-   adds no nodes simply defers to the next flush point; a printed
-   history whose order lines all trail the node declarations therefore
-   certifies once, at end of stream — the historical slurp behaviour. *)
+   root.  Only the lines since the last certified append are parsed, onto
+   the committed stream state ({!Repro_histlang.Syntax.Stream}).  Lines
+   that do not parse yet, a prefix that is not yet model-valid, or one
+   that adds no nodes stay pending and are retried at the next flush.
+
+   Flushing starts once a relation line has been seen.  A description
+   whose relation lines all trail its node declarations (the printer's
+   layout) would otherwise commit node-only prefixes, and its trailing
+   pairs between those nodes would break the extension contract; it
+   certifies once, at end of stream, as one whole-history chunk.  A chunk
+   that does break the contract ends the run as an input error. *)
 let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
     ?(obs = Repro_obs.Sink.null) ?(progress = Cli_common.Progress.null)
     ?window ~brief explain format shrink skip_validation () =
@@ -81,7 +88,8 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
       ~obs:(Repro_obs.Sink.v ~metrics ~recorder ~spans ())
       ?window ()
   in
-  let text = Buffer.create 4096 in
+  let doc = ref (Repro_histlang.Syntax.Stream.empty ()) in
+  let pending = Buffer.create 4096 in
   let nodes = ref 0 in
   let appends = ref 0 in
   let t0 = Repro_obs.Clock.now_wall () in
@@ -123,68 +131,82 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
     end;
     1
   in
-  (* One certification attempt over the accumulated text.  [`Deferred]
-     folds three mid-stream states — unparseable yet, model-invalid yet,
-     no new nodes — that all mean "wait for more input". *)
+  let input_error msg =
+    Cli_common.Progress.finish progress;
+    if brief then Fmt.pf ppf "-: error: %s@." msg
+    else Fmt.pf eppf "compcheck: %s@." msg;
+    2
+  in
+  (* Commit the pending lines as one append and certify it. *)
+  let certify doc' h =
+    doc := doc';
+    Buffer.clear pending;
+    nodes := History.n_nodes h;
+    incr appends;
+    match with_append_trace spans (fun () -> Repro_core.Engine.extend s h) with
+    | Repro_core.Engine.Accepted _ ->
+      if !appends mod introspect_every = 0 then snapshot_gauges metrics s;
+      show_progress ();
+      if not brief then Fmt.pf hpf "append %d: accept@." !appends;
+      `Ok
+    | Repro_core.Engine.Rejected f -> `Stop (reject_evidence f h)
+  in
+  (* One certification attempt over the pending lines.  [`Deferred] folds
+     three mid-stream states — unparseable yet, model-invalid yet, no new
+     nodes — that all mean "wait for more input"; the pending lines are
+     committed only when they make an append. *)
   let try_append () =
-    match Repro_histlang.Syntax.parse (Buffer.contents text) with
+    match Repro_histlang.Syntax.Stream.feed !doc (Buffer.contents pending) with
     | exception Repro_histlang.Syntax.Parse_error _ -> `Deferred
     | exception Invalid_argument _ -> `Deferred
-    | h ->
+    | exception History.Not_an_extension msg ->
+      `Stop (input_error ("not an extension: " ^ msg))
+    | doc' ->
+      let h = Repro_histlang.Syntax.Stream.history doc' in
       if History.n_nodes h <= !nodes then `Deferred
-      else if
-        (not skip_validation) && Repro_model.Validate.check h <> []
-      then `Deferred
-      else begin
-        nodes := History.n_nodes h;
-        incr appends;
-        match with_append_trace spans (fun () -> Repro_core.Engine.extend s h) with
-        | Repro_core.Engine.Accepted _ ->
-          if !appends mod introspect_every = 0 then snapshot_gauges metrics s;
-          show_progress ();
-          if not brief then Fmt.pf hpf "append %d: accept@." !appends;
-          `Ok
-        | Repro_core.Engine.Rejected f -> `Reject (reject_evidence f h)
-      end
+      else if (not skip_validation) && Repro_model.Validate.check h <> [] then
+        `Deferred
+      else certify doc' h
   in
-  let is_root_line line =
+  let first_word line =
     let n = String.length line in
     let i = ref 0 in
     while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do
       incr i
     done;
-    !i + 4 <= n
-    && String.sub line !i 4 = "root"
-    && (!i + 4 = n || line.[!i + 4] = ' ' || line.[!i + 4] = '\t')
+    let j = ref !i in
+    while !j < n && not (String.contains " \t!:" line.[!j]) do
+      incr j
+    done;
+    String.sub line !i (!j - !i)
   in
-  let roots_seen = ref 0 in
+  let roots_seen = ref 0 and relations_seen = ref false in
   let rec pump () =
     match input_line stdin with
     | exception End_of_file -> finish ()
     | line ->
-      let flush_now = is_root_line line && !roots_seen > 0 in
+      let word = first_word line in
+      let is_root = word = "root" in
+      let flush_now = is_root && !roots_seen > 0 && !relations_seen in
       let code = if flush_now then try_append () else `Deferred in
-      if is_root_line line then incr roots_seen;
-      Buffer.add_string text line;
-      Buffer.add_char text '\n';
-      (match code with `Reject c -> c | `Ok | `Deferred -> pump ())
+      if is_root then incr roots_seen;
+      if List.mem word [ "order"; "intra"; "input"; "log" ] then
+        relations_seen := true;
+      Buffer.add_string pending line;
+      Buffer.add_char pending '\n';
+      (match code with `Stop c -> c | `Ok | `Deferred -> pump ())
   and finish () =
-    (* End of stream: the full description must parse and validate (the
-       same gate the file path applies up front), then the final prefix
-       is certified. *)
-    match Repro_histlang.Syntax.parse (Buffer.contents text) with
+    (* End of stream: the rest must parse onto the committed state and
+       the whole history validate (the same gate the file path applies
+       up front), then the final prefix is certified. *)
+    match Repro_histlang.Syntax.Stream.feed !doc (Buffer.contents pending) with
     | exception Repro_histlang.Syntax.Parse_error e ->
-      Cli_common.Progress.finish progress;
-      let msg = Fmt.str "parse error: %a" Repro_histlang.Syntax.pp_error e in
-      if brief then Fmt.pf ppf "-: error: %s@." msg
-      else Fmt.pf eppf "compcheck: %s@." msg;
-      2
-    | exception Invalid_argument msg ->
-      Cli_common.Progress.finish progress;
-      if brief then Fmt.pf ppf "-: error: invalid history: %s@." msg
-      else Fmt.pf eppf "compcheck: invalid history: %s@." msg;
-      2
-    | h ->
+      input_error (Fmt.str "parse error: %a" Repro_histlang.Syntax.pp_error e)
+    | exception Invalid_argument msg -> input_error ("invalid history: " ^ msg)
+    | exception History.Not_an_extension msg ->
+      input_error ("not an extension: " ^ msg)
+    | doc' ->
+      let h = Repro_histlang.Syntax.Stream.history doc' in
       let validation = Repro_model.Validate.check h in
       if validation <> [] && not skip_validation then begin
         Cli_common.Progress.finish progress;
@@ -200,8 +222,8 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
         2
       end
       else begin
-        match (if History.n_nodes h > !nodes then try_append () else `Ok) with
-        | `Reject c -> c
+        match (if History.n_nodes h > !nodes then certify doc' h else `Ok) with
+        | `Stop c -> c
         | `Ok | `Deferred ->
           snapshot_gauges metrics s;
           Cli_common.Progress.finish progress;

@@ -1,5 +1,4 @@
 open Repro_model
-module B = History.Builder
 
 type error = { line : int; message : string }
 
@@ -26,41 +25,54 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '.' || c = '\'' || c = '-'
 
-let lex src =
-  let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 in
-  let i = ref 0 in
-  while !i < n do
-    let c = src.[!i] in
+(* The lexer is a cursor the parser pulls tokens from, with one token of
+   lookahead, so no token list is ever built or reversed. *)
+type pstate = {
+  src : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable ahead : ltoken option; (* scanned, not yet consumed *)
+}
+
+let lexer ?(line0 = 1) src = { src; pos = 0; line = line0; ahead = None }
+
+let rec scan st =
+  let src = st.src and n = String.length st.src in
+  if st.pos >= n then None
+  else
+    let c = String.unsafe_get src st.pos in
     if c = '\n' then begin
-      incr line;
-      incr i
+      st.line <- st.line + 1;
+      st.pos <- st.pos + 1;
+      scan st
     end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
+    else if c = ' ' || c = '\t' || c = '\r' then begin
+      st.pos <- st.pos + 1;
+      scan st
+    end
     else if c = '#' then begin
-      while !i < n && src.[!i] <> '\n' do
-        incr i
-      done
+      while st.pos < n && String.unsafe_get src st.pos <> '\n' do
+        st.pos <- st.pos + 1
+      done;
+      scan st
     end
     else if is_name_char c then begin
-      let start = !i in
-      while !i < n && is_name_char src.[!i] do
+      let start = st.pos in
+      let i = ref (start + 1) in
+      while !i < n && is_name_char (String.unsafe_get src !i) do
         incr i
       done;
-      toks := { tok = Name (String.sub src start (!i - start)); line = !line } :: !toks
+      st.pos <- !i;
+      Some { tok = Name (String.sub src start (!i - start)); line = st.line }
     end
-    else if c = '!' then begin
-      toks := { tok = Bang; line = !line } :: !toks;
-      incr i
+    else begin
+      st.pos <- st.pos + 1;
+      match c with
+      | '!' -> Some { tok = Bang; line = st.line }
+      | '@' | '(' | ')' | ',' | '/' | ':' | '<' | '=' | ';' ->
+        Some { tok = Punct c; line = st.line }
+      | _ -> fail st.line "unexpected character %C" c
     end
-    else if String.contains "@(),/:<=;" c then begin
-      toks := { tok = Punct c; line = !line } :: !toks;
-      incr i
-    end
-    else fail !line "unexpected character %C" c
-  done;
-  List.rev !toks
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
@@ -83,15 +95,19 @@ type item =
   | I_input of bool * string * string * int
   | I_log of string * string list * int
 
-type pstate = { mutable toks : ltoken list }
-
-let peek st = match st.toks with [] -> None | t :: _ -> Some t
+let peek st =
+  match st.ahead with
+  | Some _ as t -> t
+  | None ->
+    let t = scan st in
+    st.ahead <- t;
+    t
 
 let next st =
-  match st.toks with
-  | [] -> fail 0 "unexpected end of input"
-  | t :: rest ->
-    st.toks <- rest;
+  match peek st with
+  | None -> fail 0 "unexpected end of input"
+  | Some t ->
+    st.ahead <- None;
     t
 
 let expect_name st what =
@@ -309,69 +325,109 @@ let rec parse_items st acc =
     in
     parse_items st (item :: acc)
 
-let build items =
-  let b = B.create () in
-  (* Nodes are declared in order; assign their identifiers up front so that
-     explicit conflict specifications can reference later nodes. *)
-  let node_ids = Hashtbl.create 64 in
-  let counter = ref 0 in
+(* ------------------------------------------------------------------ *)
+(* Stream state                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Names = Map.Make (String)
+
+(* What a stream has committed so far: its sealed history and the names
+   in scope.  Persistent, so a chunk that fails leaves the state it was
+   fed to untouched.  A chunk's own declarations resolve through a local
+   table that is folded into [node_ids] only when the next chunk needs
+   it, so a one-chunk parse never builds the persistent map. *)
+type stream = {
+  hist : History.t;
+  node_ids : int Names.t Lazy.t;
+  sched_ids : int Names.t;
+  line : int; (* line the next chunk starts on, so errors cite stream lines *)
+}
+
+(* Resolve one chunk's items against the names in scope into a history
+   delta.  Node identifiers continue the stream's numbering in
+   declaration order and are assigned up front, so explicit conflict
+   specifications can reference nodes declared later in the chunk. *)
+let resolve st items =
+  let scope = Lazy.force st.node_ids in
+  let local = Hashtbl.create 64 in
+  let next = ref (History.n_nodes st.hist) in
   List.iter
     (fun item ->
       match item with
       | I_root (name, _, _, line) | I_tx (name, _, _, _, line) | I_leaf (name, _, _, line) ->
-        if Hashtbl.mem node_ids name then fail line "duplicate node %S" name;
-        Hashtbl.replace node_ids name !counter;
-        incr counter
+        if Hashtbl.mem local name || Names.mem name scope then
+          fail line "duplicate node %S" name;
+        Hashtbl.replace local name !next;
+        incr next
       | I_schedule _ | I_order _ | I_intra _ | I_input _ | I_log _ -> ())
     items;
   let node line name =
-    match Hashtbl.find_opt node_ids name with
+    match Hashtbl.find_opt local name with
     | Some id -> id
-    | None -> fail line "unknown node %S" name
+    | None -> (
+      match Names.find_opt name scope with
+      | Some id -> id
+      | None -> fail line "unknown node %S" name)
   in
-  let scheds = Hashtbl.create 8 in
+  let sched_ids = ref st.sched_ids and next_sched = ref (History.n_schedules st.hist) in
   let sched line name =
-    match Hashtbl.find_opt scheds name with
+    match Names.find_opt name !sched_ids with
     | Some id -> id
     | None -> fail line "unknown schedule %S" name
   in
-  List.iter
-    (fun item ->
-      match item with
-      | I_schedule (name, spec) ->
-        let conflict =
-          match spec with
-          | Simple c -> c
-          | Explicit_names (pairs, line) ->
-            Conflict.Explicit (List.map (fun (a, b) -> (node line a, node line b)) pairs)
-        in
-        Hashtbl.replace scheds name (B.schedule b ~conflict name)
-      | I_root (name, sname, lbl, line) ->
-        let id = B.root b ~sched:(sched line sname) lbl in
-        assert (id = Hashtbl.find node_ids name)
-      | I_tx (name, sname, pname, lbl, line) ->
-        let id = B.tx b ~parent:(node line pname) ~sched:(sched line sname) lbl in
-        assert (id = Hashtbl.find node_ids name)
-      | I_leaf (name, pname, lbl, line) ->
-        let id = B.leaf b ~parent:(node line pname) lbl in
-        assert (id = Hashtbl.find node_ids name)
-      | I_order (strong, a, b', line) ->
-        let a = node line a and b' = node line b' in
-        if strong then B.strong_out b ~a ~b:b' else B.weak_out b ~a ~b:b'
-      | I_intra (strong, a, b', line) ->
-        let a = node line a and b' = node line b' in
-        if strong then B.intra_strong b ~a ~b:b' else B.intra_weak b ~a ~b:b'
-      | I_input (strong, a, b', line) ->
-        let a = node line a and b' = node line b' in
-        if strong then B.input_strong b ~a ~b:b' else B.input_weak b ~a ~b:b'
-      | I_log (sname, ops, line) ->
-        B.log b ~sched:(sched line sname) (List.map (node line) ops))
-    items;
-  B.seal b
+  let pair line a b' = (node line a, node line b') in
+  let delta =
+    List.map
+      (fun item ->
+        match item with
+        | I_schedule (name, spec) ->
+          let conflict =
+            match spec with
+            | Simple c -> c
+            | Explicit_names (pairs, line) ->
+              Conflict.Explicit (List.map (fun (a, b) -> pair line a b) pairs)
+          in
+          sched_ids := Names.add name !next_sched !sched_ids;
+          incr next_sched;
+          History.Schedule { name; conflict }
+        | I_root (_, sname, label, line) -> History.Root { sched = sched line sname; label }
+        | I_tx (_, sname, pname, label, line) ->
+          History.Tx { parent = node line pname; sched = sched line sname; label }
+        | I_leaf (_, pname, label, line) -> History.Leaf { parent = node line pname; label }
+        | I_order (strong, a, b, line) ->
+          let a, b = pair line a b in
+          if strong then History.Strong_out (a, b) else History.Weak_out (a, b)
+        | I_intra (strong, a, b, line) ->
+          let a, b = pair line a b in
+          if strong then History.Intra_strong (a, b) else History.Intra_weak (a, b)
+        | I_input (strong, a, b, line) ->
+          let a, b = pair line a b in
+          if strong then History.Input_strong (a, b) else History.Input_weak (a, b)
+        | I_log (sname, ops, line) -> History.Log (sched line sname, List.map (node line) ops))
+      items
+  in
+  (delta, lazy (Hashtbl.fold Names.add local scope), !sched_ids)
 
-let parse src =
-  let st = { toks = lex src } in
-  build (parse_items st [])
+module Stream = struct
+  type t = stream
+
+  let empty () =
+    {
+      hist = History.empty ();
+      node_ids = Lazy.from_val Names.empty;
+      sched_ids = Names.empty;
+      line = 1;
+    }
+
+  let history st = st.hist
+
+  let feed st chunk =
+    let lx = lexer ~line0:st.line chunk in
+    let delta, node_ids, sched_ids = resolve st (parse_items lx []) in
+    { hist = History.append st.hist delta; node_ids; sched_ids; line = lx.line }
+end
+
+let parse src = Stream.history (Stream.feed (Stream.empty ()) src)
 
 let parse_file path =
   let ic = open_in path in
@@ -384,16 +440,16 @@ let parse_file path =
    [explicit] is rejected: its pairs reference node names, which do not
    exist outside a history description. *)
 let spec_of_string src =
-  let st = { toks = lex src } in
+  let st = lexer src in
   let spec =
     match parse_spec st 1 with
     | Simple c -> c
     | Explicit_names (_, line) ->
       fail line "explicit specifications reference nodes of a history and cannot stand alone"
   in
-  (match st.toks with
-  | [] -> ()
-  | { line; _ } :: _ -> fail line "trailing input after conflict specification");
+  (match peek st with
+  | None -> ()
+  | Some { line; _ } -> fail line "trailing input after conflict specification");
   spec
 
 (* ------------------------------------------------------------------ *)

@@ -65,10 +65,37 @@ exception Parse_error of error
 
 val pp_error : Format.formatter -> error -> unit
 
+(** Chunk-by-chunk parsing of a growing description.
+
+    A stream state holds the sealed history of the chunks fed so far and
+    the node and schedule names in scope.  {!feed} lexes and resolves only
+    the new chunk and hands the resulting delta to
+    {!Repro_model.History.append}, so the cost of a chunk follows its size,
+    not the stream's.  Each chunk must be a sequence of whole items.
+    States are persistent: a chunk that raises leaves the state it was
+    fed to as it was, so a caller simply keeps the old state. *)
+module Stream : sig
+  type t
+
+  val empty : unit -> t
+  (** No chunk fed yet: the empty history, no names in scope. *)
+
+  val feed : t -> string -> t
+  (** [feed st chunk] is [st] extended by [chunk].  Error lines count
+      from the start of the stream.  Raises {!Parse_error} on syntax or
+      reference errors, [Invalid_argument] when the structure is
+      malformed (see {!Repro_model.History.Builder.seal}), and
+      {!Repro_model.History.Not_an_extension} when the chunk breaks the
+      extension contract of {!Repro_model.History.append}. *)
+
+  val history : t -> Repro_model.History.t
+end
+
 val parse : string -> Repro_model.History.t
-(** Parse a history description.  Raises {!Parse_error} on syntax or
-    reference errors, [Invalid_argument] when the builder rejects the
-    structure (see {!Repro_model.History.Builder.seal}). *)
+(** Parse a history description: one {!Stream.feed} of the whole text.
+    Raises {!Parse_error} on syntax or reference errors, [Invalid_argument]
+    when the builder rejects the structure (see
+    {!Repro_model.History.Builder.seal}). *)
 
 val parse_file : string -> Repro_model.History.t
 

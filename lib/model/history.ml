@@ -56,13 +56,28 @@ type ccache = {
          deep-copy its share instead *)
 }
 
+(* Converses of each schedule's four order relations, so that [append]
+   finds a node's predecessors in O(log n) instead of scanning a whole
+   relation.  Built on the first append from a history and carried along
+   the appended chain; whole-file histories never pay for it. *)
+type inverses = {
+  wo_inv : Rel.t array;
+  so_inv : Rel.t array;
+  wi_inv : Rel.t array;
+  si_inv : Rel.t array;
+}
+
 type t = {
   nodes : node array;
   scheds : schedule array;
   levels : int array; (* per schedule, Def. 9 *)
   ig : Rel.t; (* invocation graph over schedule ids *)
+  mutable inv : inverses option;
   mutable ccache : ccache option;
 }
+
+let empty () =
+  { nodes = [||]; scheds = [||]; levels = [||]; ig = Rel.empty; inv = None; ccache = None }
 
 let node h i = h.nodes.(i)
 
@@ -654,8 +669,7 @@ module Builder = struct
       b.bnodes;
     !ig
 
-  let compute_levels b ig =
-    let n = b.next_sched in
+  let compute_levels n ig =
     let levels = Array.make n 0 in
     let sched_ids = List.init n (fun i -> i) in
     match Rel.topo_sort ~nodes:(Int_set.of_list sched_ids) ig with
@@ -676,7 +690,7 @@ module Builder = struct
     let bnode i = Hashtbl.find b.bnodes i in
     let bsched s = Hashtbl.find b.bscheds s in
     let ig = build_ig b in
-    let levels = compute_levels b ig in
+    let levels = compute_levels nscheds ig in
     (* Validate logs: each must be a permutation of the schedule's ops. *)
     Hashtbl.iter
       (fun _ s ->
@@ -830,8 +844,417 @@ module Builder = struct
             log = s.blog;
           })
     in
-    { nodes; scheds; levels; ig; ccache = None }
+    { nodes; scheds; levels; ig; inv = None; ccache = None }
 end
+
+(* ------------------------------------------------------------------ *)
+(* Appending a delta                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type op =
+  | Schedule of { name : string; conflict : Conflict.spec }
+  | Root of { sched : sched_id; label : Label.t }
+  | Tx of { parent : id; sched : sched_id; label : Label.t }
+  | Leaf of { parent : id; label : Label.t }
+  | Weak_out of id * id
+  | Strong_out of id * id
+  | Intra_weak of id * id
+  | Intra_strong of id * id
+  | Input_weak of id * id
+  | Input_strong of id * id
+  | Log of sched_id * id list
+
+type delta = op list
+
+exception Not_an_extension of string
+
+let apply_op b = function
+  | Schedule { name; conflict } -> ignore (Builder.schedule b ~conflict name)
+  | Root { sched; label } -> ignore (Builder.root b ~sched label)
+  | Tx { parent; sched; label } -> ignore (Builder.tx b ~parent ~sched label)
+  | Leaf { parent; label } -> ignore (Builder.leaf b ~parent label)
+  | Weak_out (a, b') -> Builder.weak_out b ~a ~b:b'
+  | Strong_out (a, b') -> Builder.strong_out b ~a ~b:b'
+  | Intra_weak (a, b') -> Builder.intra_weak b ~a ~b:b'
+  | Intra_strong (a, b') -> Builder.intra_strong b ~a ~b:b'
+  | Input_weak (a, b') -> Builder.input_weak b ~a ~b:b'
+  | Input_strong (a, b') -> Builder.input_strong b ~a ~b:b'
+  | Log (sched, entries) -> Builder.log b ~sched entries
+
+let has_ops h s =
+  Int_set.exists (fun t -> h.nodes.(t).children <> []) h.scheds.(s).transactions
+
+(* The extension contract: a delta may only add pairs that touch one of
+   its own nodes.  A pair between two older nodes would change relations
+   an already certified prefix was decided on, and a log orders all of a
+   schedule's operations, so it may only arrive while they are all new. *)
+let check_contract h delta =
+  let n_old = Array.length h.nodes in
+  let refuse what a b =
+    raise
+      (Not_an_extension
+         (Fmt.str "%s pair %d < %d relates two nodes that precede the delta" what a b))
+  in
+  List.iter
+    (function
+      | (Weak_out (a, b) | Strong_out (a, b)) when a < n_old && b < n_old ->
+        refuse "output" a b
+      | (Intra_weak (a, b) | Intra_strong (a, b)) when a < n_old && b < n_old ->
+        refuse "intra" a b
+      | (Input_weak (a, b) | Input_strong (a, b)) when a < n_old && b < n_old ->
+        refuse "input" a b
+      | Log (s, _) when s < Array.length h.scheds && has_ops h s ->
+        raise
+          (Not_an_extension
+             (Fmt.str "log of schedule %s orders operations that precede the delta"
+                h.scheds.(s).sname))
+      | _ -> ())
+    delta
+
+(* Whole-history path: a delta onto a history without nodes (at most
+   some schedules, which carry no relations yet) is the whole history,
+   sealed by the builder — on the empty history exactly the batch parse. *)
+let seal_whole h delta =
+  let b = Builder.create () in
+  Array.iter (fun s -> ignore (Builder.schedule b ~conflict:s.conflict s.sname)) h.scheds;
+  List.iter (apply_op b) delta;
+  Builder.seal b
+
+let inverses h =
+  match h.inv with
+  | Some i -> i
+  | None ->
+    let inv f = Array.map (fun s -> Rel.inverse (f s)) h.scheds in
+    let i =
+      {
+        wo_inv = inv (fun s -> s.weak_out);
+        so_inv = inv (fun s -> s.strong_out);
+        wi_inv = inv (fun s -> s.weak_in);
+        si_inv = inv (fun s -> s.strong_in);
+      }
+    in
+    h.inv <- Some i;
+    i
+
+(* The relations [extend_sealed] maintains: a schedule's four orders, and
+   a transaction's two intra orders (indexed by the transaction). *)
+type rel_kind = WO | SO | WI | SI | IW | IS
+
+(* Incremental path.  The sealed relations are the least ones closed
+   under [seal]'s completion rules (Def. 3 completion, Def. 4.7
+   push-down, transitive closure); [seal] reaches them level by level,
+   and every rule is monotone, so adding facts only adds pairs.  Each
+   new pair enters its (closed) relation by one closure insertion —
+   (preds a + a) x (b + succs b) — and every pair that insertion adds is
+   queued once to fire the completion rules it is a premise of.  New
+   operations fire the input-order expansions of their transaction's
+   existing input pairs.  Nothing here reads a pair that is not new or
+   adjacent to a new one. *)
+let extend_sealed h delta =
+  let n_old = Array.length h.nodes and ns_old = Array.length h.scheds in
+  let n_add, ns_add =
+    List.fold_left
+      (fun (n, s) -> function
+        | Root _ | Tx _ | Leaf _ -> (n + 1, s)
+        | Schedule _ -> (n, s + 1)
+        | _ -> (n, s))
+      (0, 0) delta
+  in
+  let n = n_old + n_add and ns = ns_old + ns_add in
+  let inv = inverses h in
+  let nodes = Array.make n h.nodes.(0) in
+  Array.blit h.nodes 0 nodes 0 n_old;
+  let grow a pad = Array.append a (Array.make ns_add pad) in
+  let old f = Array.map f h.scheds in
+  let names = grow (old (fun s -> s.sname)) "" in
+  let specs = grow (old (fun s -> s.conflict)) Conflict.Never in
+  let txs = grow (old (fun s -> s.transactions)) Int_set.empty in
+  let logs = grow (old (fun s -> s.log)) [] in
+  let wo = grow (old (fun s -> s.weak_out)) Rel.empty in
+  let so = grow (old (fun s -> s.strong_out)) Rel.empty in
+  let wi = grow (old (fun s -> s.weak_in)) Rel.empty in
+  let si = grow (old (fun s -> s.strong_in)) Rel.empty in
+  let wo_inv = grow inv.wo_inv Rel.empty and so_inv = grow inv.so_inv Rel.empty in
+  let wi_inv = grow inv.wi_inv Rel.empty and si_inv = grow inv.si_inv Rel.empty in
+  let ig = ref h.ig and ig_grew = ref false in
+  (* 1. Structure, validated as the builder validates it. *)
+  let next_node = ref n_old and next_sched = ref ns_old in
+  let node v =
+    if v < 0 || v >= !next_node then
+      invalid_arg (Fmt.str "History.Builder: unknown node %d" v);
+    nodes.(v)
+  in
+  let sched s =
+    if s < 0 || s >= !next_sched then
+      invalid_arg (Fmt.str "History.Builder: unknown schedule %d" s)
+  in
+  let gained = Array.make ns false in
+  let fresh label parent sched =
+    let v = !next_node in
+    incr next_node;
+    nodes.(v) <-
+      { id = v; label; parent; children = []; sched; intra_weak = Rel.empty;
+        intra_strong = Rel.empty };
+    (match parent with
+    | Some p ->
+      nodes.(p) <- { (nodes.(p)) with children = nodes.(p).children @ [ v ] };
+      Option.iter (fun s -> gained.(s) <- true) nodes.(p).sched
+    | None -> ());
+    match sched with Some s -> txs.(s) <- Int_set.add v txs.(s) | None -> ()
+  in
+  let child what parent =
+    let p = node parent in
+    match p.sched with
+    | None -> invalid_arg (Fmt.str "History.Builder.%s: parent is a leaf" what)
+    | Some ps -> ps
+  in
+  let distinct what a b =
+    if a = b then
+      invalid_arg (Fmt.str "History.Builder.%s: %d ordered against itself" what a)
+  in
+  let op_sched v = match (node v).parent with None -> None | Some p -> nodes.(p).sched in
+  let seeds = ref [] in
+  let explicit_out = Array.make ns false in
+  let new_logs = ref [] in
+  List.iter
+    (function
+      | Schedule { name; conflict } ->
+        let s = !next_sched in
+        incr next_sched;
+        names.(s) <- name;
+        specs.(s) <- conflict
+      | Root { sched = s; label } ->
+        sched s;
+        fresh label None (Some s)
+      | Tx { parent; sched = s; label } ->
+        sched s;
+        let ps = child "tx" parent in
+        if ps = s then invalid_arg "History.Builder.seal: schedule invokes itself";
+        if not (Rel.mem ps s !ig) then begin
+          ig := Rel.add ps s !ig;
+          ig_grew := true
+        end;
+        fresh label (Some parent) (Some s)
+      | Leaf { parent; label } ->
+        ignore (child "leaf" parent);
+        fresh label (Some parent) None
+      | (Weak_out (a, b) | Strong_out (a, b)) as o ->
+        let what, kind = match o with Weak_out _ -> ("weak_out", WO) | _ -> ("strong_out", SO) in
+        distinct what a b;
+        (match (op_sched a, op_sched b) with
+        | Some sa, Some sb when sa = sb ->
+          explicit_out.(sa) <- true;
+          seeds := (kind, sa, a, b) :: !seeds
+        | _ ->
+          invalid_arg
+            (Fmt.str "History.Builder.%s: %d and %d are not operations of one schedule"
+               what a b))
+      | (Intra_weak (a, b) | Intra_strong (a, b)) as o ->
+        let what, kind =
+          match o with Intra_weak _ -> ("intra_weak", IW) | _ -> ("intra_strong", IS)
+        in
+        distinct what a b;
+        (match ((node a).parent, (node b).parent) with
+        | Some pa, Some pb when pa = pb -> seeds := (kind, pa, a, b) :: !seeds
+        | _ ->
+          invalid_arg (Fmt.str "History.Builder.%s: %d and %d are not siblings" what a b))
+      | (Input_weak (a, b) | Input_strong (a, b)) as o ->
+        let what, kind =
+          match o with Input_weak _ -> ("input_weak", WI) | _ -> ("input_strong", SI)
+        in
+        distinct what a b;
+        let na = node a and nb = node b in
+        if na.parent <> None || nb.parent <> None then
+          invalid_arg (Fmt.str "History.Builder.%s: %d and %d must be roots" what a b);
+        (match (na.sched, nb.sched) with
+        | Some sa, Some sb when sa = sb -> seeds := (kind, sa, a, b) :: !seeds
+        | _ ->
+          invalid_arg
+            (Fmt.str "History.Builder.%s: %d and %d are not roots of one schedule" what a b))
+      | Log (s, entries) ->
+        sched s;
+        logs.(s) <- entries;
+        gained.(s) <- true;
+        new_logs := s :: !new_logs)
+    delta;
+  let levels =
+    if !ig_grew then Builder.compute_levels ns !ig
+    else grow h.levels 1
+  in
+  (* Every log must still be a permutation of its schedule's operations
+     (a schedule with a log that gains operations fails, as in [seal]). *)
+  let ops s =
+    Int_set.fold (fun t acc -> List.rev_append nodes.(t).children acc) txs.(s) []
+  in
+  Array.iteri
+    (fun s log ->
+      if log <> [] && gained.(s) then begin
+        let ops = Int_set.of_list (ops s) and logged = Int_set.of_list log in
+        if (not (Int_set.equal ops logged)) || List.length log <> Int_set.cardinal logged
+        then
+          invalid_arg
+            (Fmt.str
+               "History.Builder.seal: log of schedule %s is not a permutation of its operations"
+               names.(s))
+      end)
+    logs;
+  (* 2. Closure insertion and rule firing. *)
+  let compiled = Array.make ns None in
+  let conflict s a b =
+    nodes.(a).parent <> nodes.(b).parent
+    &&
+    let c =
+      match compiled.(s) with
+      | Some c -> c
+      | None ->
+        let c =
+          match h.ccache with
+          | Some cc when s < ns_old -> cc.compiled.(s)
+          | _ -> Conflict.compile specs.(s)
+        in
+        compiled.(s) <- Some c;
+        c
+    in
+    Conflict.probe_ids c ~get_label:(fun v -> nodes.(v).label) a b
+  in
+  let rel k i =
+    match k with
+    | WO -> wo.(i)
+    | SO -> so.(i)
+    | WI -> wi.(i)
+    | SI -> si.(i)
+    | IW -> nodes.(i).intra_weak
+    | IS -> nodes.(i).intra_strong
+  in
+  let preds k i a =
+    match k with
+    | WO -> Rel.succs wo_inv.(i) a
+    | SO -> Rel.succs so_inv.(i) a
+    | WI -> Rel.succs wi_inv.(i) a
+    | SI -> Rel.succs si_inv.(i) a
+    | IW | IS -> Rel.preds (rel k i) a
+  in
+  let set k i a b =
+    match k with
+    | WO -> wo.(i) <- Rel.add a b wo.(i); wo_inv.(i) <- Rel.add b a wo_inv.(i)
+    | SO -> so.(i) <- Rel.add a b so.(i); so_inv.(i) <- Rel.add b a so_inv.(i)
+    | WI -> wi.(i) <- Rel.add a b wi.(i); wi_inv.(i) <- Rel.add b a wi_inv.(i)
+    | SI -> si.(i) <- Rel.add a b si.(i); si_inv.(i) <- Rel.add b a si_inv.(i)
+    | IW -> nodes.(i) <- { (nodes.(i)) with intra_weak = Rel.add a b nodes.(i).intra_weak }
+    | IS ->
+      nodes.(i) <- { (nodes.(i)) with intra_strong = Rel.add a b nodes.(i).intra_strong }
+  in
+  let fired = Queue.create () in
+  let add k i a b =
+    let r = rel k i in
+    if not (Rel.mem a b r) then begin
+      let ps = Int_set.add a (preds k i a) and ss = Int_set.add b (Rel.succs r b) in
+      Int_set.iter
+        (fun x ->
+          Int_set.iter
+            (fun y ->
+              if not (Rel.mem x y (rel k i)) then begin
+                set k i x y;
+                Queue.push (k, i, x, y) fired
+              end)
+            ss)
+        ps
+    end
+  in
+  let children v = nodes.(v).children in
+  let expand ~strong s t t' =
+    List.iter
+      (fun o ->
+        List.iter
+          (fun o' ->
+            if strong then add SO s o o' else if conflict s o o' then add WO s o o')
+          (children t'))
+      (children t)
+  in
+  let push_down k a b =
+    match (nodes.(a).sched, nodes.(b).sched) with
+    | Some c, Some c' when c = c' -> add k c a b
+    | _ -> ()
+  in
+  let tx_sched p = match nodes.(p).sched with Some s -> s | None -> assert false in
+  let fire (k, i, a, b) =
+    match k with
+    | SI -> add WI i a b; expand ~strong:true i a b
+    | WI -> expand ~strong:false i a b
+    | SO -> add WO i a b; push_down SI a b
+    | WO -> push_down WI a b
+    | IS -> add IW i a b; add SO (tx_sched i) a b
+    | IW -> add WO (tx_sched i) a b
+  in
+  (* New operations meet the input pairs their transaction already had
+     (Def. 3.1a and 3.3): pairs added from here on see every child. *)
+  for v = n_old to n - 1 do
+    match nodes.(v).parent with
+    | None -> ()
+    | Some t ->
+      let s = tx_sched t in
+      let meet ~strong succs preds =
+        Int_set.iter
+          (fun t' ->
+            List.iter
+              (fun o' ->
+                if strong then add SO s v o' else if conflict s v o' then add WO s v o')
+              (children t'))
+          succs;
+        Int_set.iter
+          (fun t' ->
+            List.iter
+              (fun o' ->
+                if strong then add SO s o' v else if conflict s o' v then add WO s o' v)
+              (children t'))
+          preds
+      in
+      meet ~strong:false (Rel.succs wi.(s) t) (Rel.succs wi_inv.(s) t);
+      meet ~strong:true (Rel.succs si.(s) t) (Rel.succs si_inv.(s) t)
+  done;
+  (* A log on a schedule without explicit outputs yields its minimal
+     output order (seal's step 1); the contract made its operations new. *)
+  List.iter
+    (fun s ->
+      if not explicit_out.(s) then
+        let rec pairs = function
+          | [] -> ()
+          | o :: rest ->
+            List.iter (fun o' -> if conflict s o o' then add WO s o o') rest;
+            pairs rest
+        in
+        pairs logs.(s))
+    (List.sort_uniq compare !new_logs);
+  List.iter (fun (k, i, a, b) -> add k i a b) (List.rev !seeds);
+  while not (Queue.is_empty fired) do
+    fire (Queue.pop fired)
+  done;
+  let scheds =
+    Array.init ns (fun s ->
+        {
+          sid = s;
+          sname = names.(s);
+          conflict = specs.(s);
+          transactions = txs.(s);
+          weak_in = wi.(s);
+          strong_in = si.(s);
+          weak_out = wo.(s);
+          strong_out = so.(s);
+          log = logs.(s);
+        })
+  in
+  {
+    nodes;
+    scheds;
+    levels;
+    ig = !ig;
+    inv = Some { wo_inv; so_inv; wi_inv; si_inv };
+    ccache = None;
+  }
+
+let append h delta =
+  check_contract h delta;
+  if Array.length h.nodes = 0 then seal_whole h delta else extend_sealed h delta
 
 (* ------------------------------------------------------------------ *)
 (* Root-prefix extraction                                              *)

@@ -57,6 +57,10 @@ type schedule = private {
 
 type t
 
+val empty : unit -> t
+(** The history with no schedules and no nodes: the source of a stream's
+    first {!append}. *)
+
 (** {1 Accessors} *)
 
 val node : t -> id -> node
@@ -317,3 +321,48 @@ module Builder : sig
       {!weak_out}, a recursive invocation graph, a log that is not a
       permutation of the schedule's operations). *)
 end
+
+(** {1 Appending} *)
+
+(** One fact of a history description, as {!Builder} takes it.  New nodes
+    and schedules get the next identifiers in delta order, exactly as the
+    builder would assign them. *)
+type op =
+  | Schedule of { name : string; conflict : Conflict.spec }
+  | Root of { sched : sched_id; label : Label.t }
+  | Tx of { parent : id; sched : sched_id; label : Label.t }
+  | Leaf of { parent : id; label : Label.t }
+  | Weak_out of id * id
+  | Strong_out of id * id
+  | Intra_weak of id * id
+  | Intra_strong of id * id
+  | Input_weak of id * id
+  | Input_strong of id * id
+  | Log of sched_id * id list
+
+type delta = op list
+
+exception Not_an_extension of string
+(** Raised by {!append} on a delta that breaks the extension contract. *)
+
+val append : t -> delta -> t
+(** [append h d] is the sealed history of [h]'s facts followed by [d]'s:
+    the history [Builder] would seal from the concatenated descriptions,
+    with [h]'s nodes and schedules keeping their identifiers.  [h] itself
+    is unchanged and stays valid (an engine may still undo to it, or
+    append a different delta to it).
+
+    {b Extension contract.}  Every explicit output, intra or input pair of
+    [d] must touch a node [d] declares; a log may only name a schedule
+    none of whose operations precede [d].  Otherwise {!Not_an_extension}
+    is raised.  Pairs {e derived} through a new node may still relate two
+    old nodes.
+
+    A delta onto a history with nodes is sealed incrementally: each new
+    pair is inserted into its transitively closed relation, and only the
+    completion rules it is a premise of are fired (semi-naive
+    propagation), so the cost follows the delta, not the history.  A
+    delta onto a history without nodes (such as {!empty}) is the whole
+    history and is sealed by {!Builder}, exactly as a whole-file parse.
+    Structural errors raise [Invalid_argument] with {!Builder}'s
+    messages. *)

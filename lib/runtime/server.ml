@@ -347,12 +347,13 @@ end
 (* ------------------------------------------------------------------ *)
 
 type stream = {
-  text : Buffer.t;  (* accumulated history description *)
+  mutable doc : Syntax.Stream.t;  (* committed chunks: history and names *)
   eng : Engine.t;
   recorder : Recorder.t;  (* per-stream flight recorder *)
-  mutable nodes : int;  (* node count after the last good append *)
   mutable appends : int;
 }
+
+let stream_nodes s = History.n_nodes (Syntax.Stream.history s.doc)
 
 (* A [Req] is a wire request plus its response continuation; [enq] is the
    submit timestamp, so the worker can record the shard queue wait as a
@@ -413,7 +414,7 @@ let exec_open ~window:default_window sh sid window =
         ()
     in
     Hashtbl.replace sh.streams sid
-      { text = Buffer.create 1024; eng; recorder; nodes = 0; appends = 0 };
+      { doc = Syntax.Stream.empty (); eng; recorder; appends = 0 };
     Metrics.incr sh.metrics ~labels:sh.labels "serve.open";
     Metrics.set sh.metrics ~labels:sh.labels "serve.streams"
       (float_of_int (Hashtbl.length sh.streams));
@@ -425,40 +426,34 @@ let exec_append sh sid body =
   | None -> Wire.Err (Fmt.str "no such stream %s" sid)
   | Some s -> (
     let t0 = Clock.now_wall () in
-    let rollback = Buffer.length s.text in
-    Buffer.add_string s.text body;
-    (* The protocol streams text, so the extension contract is enforced
-       structurally: re-parse the accumulated description (identifiers
-       are assigned by declaration order, so shared nodes keep theirs)
-       and hand the engine the grown history.  On any failure the
-       appended bytes are rolled back — a bad chunk must not wedge the
-       stream. *)
-    match Syntax.parse (Buffer.contents s.text) with
-    | exception Syntax.Parse_error e ->
-      Buffer.truncate s.text rollback;
-      Wire.Err (Fmt.str "parse error: %a" Syntax.pp_error e)
-    | exception Invalid_argument msg ->
-      Buffer.truncate s.text rollback;
-      Wire.Err (Fmt.str "invalid history: %s" msg)
-    | h -> (
-      if History.n_nodes h <= s.nodes then begin
-        Buffer.truncate s.text rollback;
+    (* Only the body is parsed and sealed, onto the stream's committed
+       history.  The state is persistent: a chunk refused by the parser,
+       the extension contract or the engine is never committed. *)
+    match Syntax.Stream.feed s.doc body with
+    | exception Syntax.Parse_error e -> Wire.Err (Fmt.str "parse error: %a" Syntax.pp_error e)
+    | exception Invalid_argument msg -> Wire.Err ("invalid history: " ^ msg)
+    | exception History.Not_an_extension msg -> Wire.Err ("not an extension: " ^ msg)
+    | doc -> (
+      let h = Syntax.Stream.history doc and before = stream_nodes s in
+      let t1 = Clock.now_wall () in
+      if History.n_nodes h <= before then
         Wire.Err
           (Fmt.str "append adds no nodes (%d before, %d after): not an extension"
-             s.nodes (History.n_nodes h))
-      end
+             before (History.n_nodes h))
       else
         match Engine.extend s.eng h with
-        | exception Invalid_argument msg ->
-          Buffer.truncate s.text rollback;
-          Wire.Err (Fmt.str "not an extension: %s" msg)
+        | exception Invalid_argument msg -> Wire.Err ("not an extension: " ^ msg)
         | v ->
-          s.nodes <- History.n_nodes h;
+          s.doc <- doc;
           s.appends <- s.appends + 1;
-          let wall = Clock.now_wall () -. t0 in
+          let t2 = Clock.now_wall () in
+          let wall = t2 -. t0 and ingest = t1 -. t0 in
+          let us x = Printf.sprintf "%.1f" (x *. 1e6) in
           Metrics.incr sh.metrics ~labels:sh.labels "serve.append";
           Metrics.observe sh.metrics ~labels:sh.labels "serve.append_wall_s"
             wall;
+          Metrics.observe sh.metrics ~labels:sh.labels "serve.ingest_wall_s"
+            ingest;
           if wall >= sh.slow_s then
             Recorder.record sh.slow ~severity:Recorder.Warn ~cat:"serve"
               ~labels:
@@ -467,8 +462,10 @@ let exec_append sh sid body =
                      ("stream", sid);
                      ("shard", string_of_int sh.index);
                      ("append", string_of_int s.appends);
-                     ("nodes", string_of_int s.nodes);
-                     ("wall_us", Printf.sprintf "%.1f" (wall *. 1e6));
+                     ("nodes", string_of_int (History.n_nodes h));
+                     ("wall_us", us wall);
+                     ("ingest_us", us ingest);
+                     ("engine_us", us (t2 -. t1));
                    ])
               "slow_append";
           verdict_response sid v))
@@ -491,7 +488,7 @@ let exec_explain sh sid =
            ("schema", Json.String "compserve-explain/1");
            ("stream", Json.String sid);
            ("appends", Json.Int s.appends);
-           ("nodes", Json.Int s.nodes);
+           ("nodes", Json.Int (stream_nodes s));
            ("engine", Engine.introspect ~deep:false s.eng);
            ("flight_recorder", Recorder.to_json s.recorder);
          ])

@@ -4,7 +4,11 @@
     A server multiplexes many monitored certification streams across a
     fixed pool of worker domains.  Each stream is an incremental
     {!Repro_core.Engine} session fed textual history chunks (the
-    {!Repro_histlang.Syntax} language); streams are assigned to shards by
+    {!Repro_histlang.Syntax} language).  Only each chunk is parsed and
+    sealed, onto the stream's committed history
+    ({!Repro_histlang.Syntax.Stream}); a chunk the parser, the extension
+    contract ({!Repro_model.History.append}) or the engine refuses is never
+    committed, so the stream stays usable.  Streams are assigned to shards by
     name hash, so one stream's appends execute single-threaded in arrival
     order while distinct streams certify in parallel.  With a truncation
     [window] every stream runs in bounded dense memory — the engine folds
@@ -112,9 +116,11 @@ val create :
     (default: unbounded, no truncation).  [span_rate] enables request
     tracing: each shard gets its own span collector head-sampling traced
     appends at that rate (default: tracing off — the null collector, no
-    cost on the append path).  Appends whose engine wall time reaches
-    [slow_s] seconds (default 0.1) land in the shard's slow-request log,
-    served by {!Wire.Slow}.  Raises [Invalid_argument] on a non-positive
+    cost on the append path).  Appends whose wall time reaches [slow_s]
+    seconds (default 0.1) land in the shard's slow-request log, served by
+    {!Wire.Slow}, with the split into [ingest_us] (parse and
+    {!Repro_model.History.append}, also the [serve.ingest_wall_s] series)
+    and [engine_us] ({!Repro_core.Engine.extend}).  Raises [Invalid_argument] on a non-positive
     [shards]/[window], a [span_rate] outside [0,1], or a negative
     [slow_s]. *)
 

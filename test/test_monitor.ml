@@ -351,6 +351,51 @@ let prop_undo_roundtrip =
       let v' = Monitor.append m (History.prefix_by_roots h cut) in
       restored && accepted_verdict v = accepted_verdict v')
 
+(* The direct-pair case of the extension contract, through the stream
+   parser and through [compcheck --monitor -]: after [order S : n1 < n3]
+   is certified, a chunk ordering [n3 < n1] relates two old nodes.  The
+   parser refuses it and leaves the state usable; the monitor binary ends
+   the run as an input error (exit 2). *)
+let direct_pair_text =
+  "schedule S conflict rw\n\
+   root n0 @ S T0\n\
+   leaf n1 parent n0 w(x)\n\
+   root n2 @ S T1\n\
+   leaf n3 parent n2 w(x)\n\
+   order S : n1 < n3\n"
+
+let direct_pair_chunk = "root n4 @ S T2\nleaf n5 parent n4 r(y)\norder S : n3 < n1\n"
+
+let test_stream_direct_pair () =
+  let module Syntax = Repro_histlang.Syntax in
+  let module Engine = Repro_core.Engine in
+  let st = Syntax.Stream.feed (Syntax.Stream.empty ()) direct_pair_text in
+  let e = Engine.create () in
+  (match Engine.extend e (Syntax.Stream.history st) with
+  | Engine.Accepted _ -> ()
+  | Engine.Rejected _ -> Alcotest.fail "the base prefix is Comp-C");
+  (match Syntax.Stream.feed st direct_pair_chunk with
+  | exception History.Not_an_extension _ -> ()
+  | _ -> Alcotest.fail "a pair between two old nodes must be refused");
+  let st = Syntax.Stream.feed st "root n4 @ S T2\nleaf n5 parent n4 r(y)\n" in
+  (match Engine.extend e (Syntax.Stream.history st) with
+  | Engine.Accepted _ -> ()
+  | Engine.Rejected _ -> Alcotest.fail "the refused chunk leaked into the state");
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/compcheck.exe"
+  in
+  let input = Filename.temp_file "direct_pair" ".ct" in
+  let oc = open_out input in
+  output_string oc (direct_pair_text ^ direct_pair_chunk);
+  close_out oc;
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s --monitor - < %s > /dev/null 2>&1" (Filename.quote exe)
+         (Filename.quote input))
+  in
+  Sys.remove input;
+  Alcotest.(check int) "compcheck --monitor - exits 2" 2 rc
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
 
@@ -374,6 +419,8 @@ let suite =
           test_kernel_accepting_stream;
         Alcotest.test_case "kernel: rejection inside the old block" `Quick
           test_kernel_rejecting_stream;
+        Alcotest.test_case "stream: direct pair between old nodes refused" `Quick
+          test_stream_direct_pair;
       ] );
     qsuite "monitor:props"
       [ prop_prefix_equivalence; prop_undo_roundtrip; prop_extend_delta_exact ];

@@ -373,6 +373,72 @@ let test_server_stats_and_drain () =
   (* Idempotent. *)
   Server.drain server
 
+(* The extension contract on the wire.  Two roots of one schedule write
+   x, ordered n1 < n3 by the first chunk.  An appended pair between two
+   of those old nodes would change relations the accepted prefix was
+   decided on — batch analysis of the concatenated text rejects while the
+   engine, which replays only pairs touching new nodes, would accept — so
+   the server refuses the chunk and the stream stays usable.  A pair
+   derived through a new node is still an extension and is decided. *)
+let contract_base =
+  "schedule S conflict rw\n\
+   root n0 @ S T0\n\
+   leaf n1 parent n0 w(x)\n\
+   root n2 @ S T1\n\
+   leaf n3 parent n2 w(x)\n\
+   order S : n1 < n3\n"
+
+let append_to server sid body =
+  Server.request server (Server.Wire.Append { stream = sid; body; ctx = None })
+
+let batch_accepts text =
+  match Engine.analyze (Engine.create ()) (Syntax.parse text) with
+  | Engine.Accepted _ -> true
+  | Engine.Rejected _ -> false
+
+let expect_refused_then_usable sid bad =
+  let server = Server.create ~shards:1 () in
+  expect_ok (Server.request server (Server.Wire.Open { stream = sid; window = None }));
+  (match append_to server sid contract_base with
+  | Server.Wire.Verdict_r { accepted = true; _ } -> ()
+  | _ -> Alcotest.fail "base chunk should be accepted");
+  Alcotest.(check bool) "batch rejects the concatenated text" false
+    (batch_accepts (contract_base ^ bad));
+  (match append_to server sid bad with
+  | Server.Wire.Err msg ->
+    Alcotest.(check bool) ("refusal names the contract: " ^ msg) true
+      (String.length msg >= 16 && String.sub msg 0 16 = "not an extension")
+  | _ -> Alcotest.fail "a pair between two old nodes must be refused");
+  (match append_to server sid "root n4 @ S T2\nleaf n5 parent n4 r(y)\n" with
+  | Server.Wire.Verdict_r { accepted = true; _ } -> ()
+  | Server.Wire.Err e -> Alcotest.fail ("stream wedged after the refusal: " ^ e)
+  | _ -> Alcotest.fail "expected a verdict");
+  Server.drain server
+
+let test_contract_direct_order () =
+  expect_refused_then_usable "direct-order"
+    "root n4 @ S T2\nleaf n5 parent n4 r(y)\norder S : n3 < n1\n"
+
+let test_contract_late_input () =
+  expect_refused_then_usable "late-input" "root n4 @ S T2\ninput : n2 < n0\n"
+
+let test_contract_derived_pair () =
+  let server = Server.create ~shards:1 () in
+  expect_ok (Server.request server (Server.Wire.Open { stream = "d"; window = None }));
+  (match append_to server "d" contract_base with
+  | Server.Wire.Verdict_r { accepted = true; _ } -> ()
+  | _ -> Alcotest.fail "base chunk should be accepted");
+  let chunk =
+    "root n4 @ S T2\nleaf n5 parent n4 w(x)\norder S : n3 < n5\norder S : n5 < n1\n"
+  in
+  Alcotest.(check bool) "batch rejects" false (batch_accepts (contract_base ^ chunk));
+  (match append_to server "d" chunk with
+  | Server.Wire.Verdict_r { accepted; _ } ->
+    Alcotest.(check bool) "streamed verdict = batch" false accepted
+  | Server.Wire.Err e -> Alcotest.fail ("derived pair refused: " ^ e)
+  | _ -> Alcotest.fail "expected a verdict");
+  Server.drain server
+
 (* ------------------------------------------------------------------ *)
 (* Admin plane and request tracing                                     *)
 (* ------------------------------------------------------------------ *)
@@ -438,7 +504,17 @@ let test_server_admin_plane () =
         Alcotest.(check string) "slow event name" "slow_append" name;
         Alcotest.(check bool) "slow event labels decode" true
           (Labels.find "stream" labels <> None
-          && Labels.find "wall_us" labels <> None)
+          && Labels.find "wall_us" labels <> None);
+        (* the ingest/engine split: both parts present and within the
+           append's wall time *)
+        let us k =
+          match Labels.find k labels with
+          | Some v -> float_of_string v
+          | None -> Alcotest.failf "slow event without %s" k
+        in
+        Alcotest.(check bool) "ingest_us + engine_us <= wall_us" true
+          (us "ingest_us" >= 0.0 && us "engine_us" >= 0.0
+          && us "ingest_us" +. us "engine_us" <= us "wall_us" +. 0.2)
       | _ -> Alcotest.fail "slow event without a series string")
     | _ -> Alcotest.fail "slow without events")
   | _ -> Alcotest.fail "slow must answer with json");
@@ -644,6 +720,12 @@ let suite =
         Alcotest.test_case "windowed multi-stream parity" `Quick
           test_server_windowed_parity;
         Alcotest.test_case "stream lifecycle" `Quick test_server_stream_lifecycle;
+        Alcotest.test_case "contract: direct order between old nodes" `Quick
+          test_contract_direct_order;
+        Alcotest.test_case "contract: late input between old roots" `Quick
+          test_contract_late_input;
+        Alcotest.test_case "contract: pair derived through a new node" `Quick
+          test_contract_derived_pair;
         Alcotest.test_case "stats barrier and drain" `Quick
           test_server_stats_and_drain;
         Alcotest.test_case "admin plane" `Quick test_server_admin_plane;
