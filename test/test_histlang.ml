@@ -432,6 +432,42 @@ let prop_stream_parity =
         groups;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Printer and chunker bytes                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Both benchmark workloads build their inputs with [Syntax.to_string]
+   and [Chunks.of_history], so their bytes are pinned against files
+   under golden/.  A chunked stream is written as its preamble followed
+   by one ["# chunk k"] comment line before each chunk, so the golden
+   file itself parses to the whole history. *)
+let golden_histories () =
+  let adt = Syntax.spec_of_string "adt(upd=inc/dec,rd=get;upd/rd=item)" in
+  [
+    ("stack", Gen.stack ~stream:true (Prng.create ~seed:7) ~levels:3 ~roots:3);
+    ("fork", Gen.fork (Prng.create ~seed:11) ~branches:2 ~roots:3);
+    ("join", Gen.join ~stream:true (Prng.create ~seed:13) ~branches:2 ~roots:3);
+    ("adt", Gen.stack ~stream:true ~conflict:adt (Prng.create ~seed:5) ~levels:2 ~roots:3);
+  ]
+
+let chunked_text h =
+  let { Chunks.preamble; chunks } = Chunks.of_history h in
+  String.concat ""
+    (preamble :: List.mapi (fun k c -> Printf.sprintf "# chunk %d\n%s" (k + 1) c) chunks)
+
+let read_golden name = In_channel.with_open_bin ("golden/" ^ name) In_channel.input_all
+
+let test_golden_bytes () =
+  List.iter
+    (fun (name, h) ->
+      Alcotest.(check string) ("print " ^ name)
+        (read_golden ("print_" ^ name ^ ".ct"))
+        (Syntax.to_string h);
+      Alcotest.(check string) ("chunks " ^ name)
+        (read_golden ("chunks_" ^ name ^ ".ct"))
+        (chunked_text h))
+    (golden_histories ())
+
 let suite =
   [
     ( "histlang",
@@ -446,5 +482,6 @@ let suite =
         Alcotest.test_case "dot export" `Quick test_dot_export;
         Alcotest.test_case "dot escaping" `Quick test_dot_escaping;
         QCheck_alcotest.to_alcotest prop_stream_parity;
+        Alcotest.test_case "printer and chunker golden bytes" `Quick test_golden_bytes;
       ] );
   ]
