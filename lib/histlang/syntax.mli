@@ -113,3 +113,30 @@ val print : Format.formatter -> Repro_model.History.t -> unit
     same relations). *)
 
 val to_string : Repro_model.History.t -> string
+
+(** {1 Single lines}
+
+    The printer's lines, without the newline, for producers that lay a
+    history out differently — {!Repro_runtime.Server.Chunks} splits one
+    into per-root chunks under its own node names.  [name] renders a
+    node identifier. *)
+
+val is_name : string -> bool
+(** The lexer's [NAME] rule: non-empty, every character in
+    [[A-Za-z0-9_.'-]].  Keywords are names too: a schedule may be called
+    [order]. *)
+
+val spec_line : Repro_model.History.schedule -> string
+(** [schedule NAME conflict spec]; an [explicit] spec names nodes [n<id>]. *)
+
+val node_line : name:(int -> string) -> Repro_model.History.t -> int -> string
+(** The [root], [tx] or [leaf] declaration of a node. *)
+
+val intra_line : name:(int -> string) -> strong:bool -> int -> int -> string
+
+val input_line : name:(int -> string) -> strong:bool -> int -> int -> string
+
+val order_line :
+  name:(int -> string) -> strong:bool -> string -> int -> int -> string
+(** [order_line ~name ~strong sname a b] is an output pair of schedule
+    [sname]. *)
