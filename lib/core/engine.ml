@@ -132,8 +132,6 @@ let create ?(obs = Sink.null) ?window () =
     gc0 = Gc.quick_stat ();
   }
 
-let sink t = t.obs
-
 let levels_of h =
   Array.init (History.n_schedules h) (fun s -> History.level h s)
 

@@ -2,7 +2,7 @@
     consumer of a Comp-C verdict.
 
     Four consumers need the same per-history analysis state — the batch
-    checker ({!Compc}), the streaming monitor ({!Monitor}), the forensic
+    checker ({!Compc}), the streaming monitor ({!extend}), the forensic
     layer (provenance, evidence, shrinking) and the definitional
     cross-check ({!Equivalence}) — and before this module each rebuilt it
     from scratch: a fresh observed-order closure, a fresh conflict memo, a
@@ -105,7 +105,7 @@ val analyze : t -> History.t -> verdict
     of {!extend} is reused.  Reports the [compc.*] check metrics. *)
 
 val extend : t -> History.t -> verdict
-(** Monitor append: advance the session to [h] — which must extend the
+(** Monitored append: advance the session to [h] — which must extend the
     current history — for the cost of the delta.  Relative to the previous
     snapshot the engine (in order): carries the conflict memo by blit and
     grows the closure by worklist saturation; skips the reduction entirely
@@ -238,8 +238,6 @@ val shrink : ?max_probes:int -> t -> Shrink.result option
     the session already decided. *)
 
 (** {1 Telemetry} *)
-
-val sink : t -> Repro_obs.Sink.t
 
 type stats = {
   appends : int;

@@ -64,10 +64,3 @@ let is_serial h f =
   Rel.total_on f.members (Rel.transitive_closure strong)
 
 let conflict_pairs h rel f = Observed.conflict_pairs h rel f.members
-
-let pp h ppf f =
-  let pn = History.pp_node h in
-  Fmt.pf ppf "@[<v 2>level %d front:@ members: %a@ <_o: %a@ ->: %a@]" f.index
-    Fmt.(list ~sep:comma pn)
-    (Int_set.elements f.members)
-    Rel.pp f.obs Rel.pp f.inp

@@ -50,5 +50,3 @@ val is_serial : History.t -> t -> bool
 
 val conflict_pairs : History.t -> Observed.relations -> t -> (id * id) list
 (** Generalized-conflict pairs among the members (for display). *)
-
-val pp : History.t -> Format.formatter -> t -> unit

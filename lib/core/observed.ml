@@ -257,8 +257,6 @@ let inc_create () =
 
 let inc_invalidate inc = inc.valid <- false
 
-let inc_floor inc = inc.floor
-
 (* Move the mirror's floor.  Raising it (truncation) also gives the
    arenas' backing store back — the whole point of the fold is that the
    dense O(prefix²) bits stop being resident; lowering it to 0 (restore)

@@ -106,8 +106,6 @@ val inc_rebase : inc -> floor:int -> unit
     sync rebuilds full-size).  Raises [Invalid_argument] on a negative
     floor. *)
 
-val inc_floor : inc -> int
-
 val inc_resident_words : inc -> int
 (** Approximate words held by the mirror's backing store (the Bigarray
     arenas live off the OCaml heap, so [Obj.reachable_words] cannot see

@@ -106,7 +106,6 @@ let classify h =
 
 let is_stack h = match classify h with Stack _ -> true | _ -> false
 let is_fork h = match classify h with Fork _ -> true | _ -> false
-let is_join h = match classify h with Join _ -> true | _ -> false
 
 let pp ppf = function
   | Flat -> Fmt.string ppf "flat"

@@ -28,6 +28,5 @@ val classify : History.t -> shape
 
 val is_stack : History.t -> bool
 val is_fork : History.t -> bool
-val is_join : History.t -> bool
 
 val pp : Format.formatter -> shape -> unit

@@ -43,19 +43,6 @@ let table_conflict pairs (a : Label.t) (b : Label.t) =
   in
   listed && share_arg a b
 
-let eval_labels spec a b =
-  match spec with
-  | Never -> false
-  | Always -> true
-  | Rw -> rw_labels a b
-  | Same_item -> (
-    match (Label.item a, Label.item b) with
-    | Some ia, Some ib -> String.equal ia ib
-    | _ -> false)
-  | Table pairs -> table_conflict pairs a b
-  | Explicit _ -> true
-  | Adt f -> Adt.eval f a b
-
 (* Process-global count of label interpretations, so tests can pin that a
    memo (or a memo transfer) really prevented re-evaluation.  Atomic: the
    batch drivers evaluate from several domains at once. *)
@@ -141,7 +128,7 @@ let compile = function
 
 (* The one label-level compatibility decision shared by the checker's memo
    fill and the lock tables; [Explicit] has no label-level meaning and is
-   pessimistic, exactly like [eval_labels]. *)
+   pessimistic. *)
 let probe_labels_quiet c (a : Label.t) (b : Label.t) =
   match c with
   | Cnever -> false

@@ -68,10 +68,11 @@ val probe_ids :
     {!evals} exactly like {!eval} so the memo tests keep their meaning. *)
 
 val probe_labels : compiled -> Label.t -> Label.t -> bool
-(** Same decision as {!eval_labels} on the originating spec: the one
-    label-level compatibility function shared by the checker and the
+(** Same decision as {!eval} on the originating spec, on raw labels: the
+    one label-level compatibility function shared by the checker and the
     semantic 2PL lock tables.  [Explicit] is pessimistically [true] (no
-    node identities exist at the label level); {!Lock} emits a one-time
+    node identities exist at the label level), and no same-transaction
+    exemption applies; {!Lock} emits a one-time
     {!Validate} warning when it hits that fallback.  Counts toward
     {!evals}. *)
 
@@ -93,13 +94,6 @@ val evals : unit -> int
     tests difference it around an operation to assert that warm caches
     prevent re-interpretation.  Atomic, so safe to read under the parallel
     batch drivers. *)
-
-val eval_labels : spec -> Label.t -> Label.t -> bool
-(** Conflict decision on raw labels, for lock tables and other uses where no
-    node identity exists.  Identical to {!eval} except that [Explicit] —
-    which needs node identities — is treated pessimistically as [Always],
-    and no same-transaction exemption applies.  Reflexive pairs follow the
-    spec (two equal write labels conflict). *)
 
 val rw_labels : Label.t -> Label.t -> bool
 (** The raw read/write commutativity test on labels used by {!Rw}, exposed

@@ -160,8 +160,6 @@ let cache h =
     h.ccache <- Some c;
     c
 
-let compiled_spec h s = (cache h).compiled.(s)
-
 let common_op_schedule_id h a b =
   let c = cache h in
   let sa = c.op_sched.(a) in
@@ -1365,8 +1363,6 @@ module View = struct
   let base v = v.vbase
   let n_nodes v = v.n_kept
   let mem v i = i >= 0 && i < Array.length v.kept && v.kept.(i)
-  let new_id v i = if mem v i then v.map.(i) else -1
-
   (* Transfer the base history's conflict memo onto the materialized
      restriction.  [cache] ranks a schedule's operations in ascending node-id
      order; a restriction keeps relative id order, so the old-rank ->

@@ -125,12 +125,6 @@ val conflicts_uncached : t -> sched_id -> id -> id -> bool
     equivalence tests (which thereby also cross-check the compiled form
     against the interpreter). *)
 
-val compiled_spec : t -> sched_id -> Conflict.compiled
-(** The schedule's conflict spec in compiled form, shared with the conflict
-    memo (compiled once per history, on first use).  The lock tables and
-    the workload generators probe this instead of re-interpreting the
-    spec. *)
-
 val extend_cache : from:t -> t -> unit
 (** [extend_cache ~from h] seeds [h]'s conflict memo with every pair
     already decided in [from], assuming [h] {e extends} [from]: same
@@ -234,10 +228,6 @@ module View : sig
 
   val mem : t -> id -> bool
   (** Does the original node survive the restriction? *)
-
-  val new_id : t -> id -> id
-  (** The surviving node's identifier in {!to_history}'s output — dense,
-      in original id order — or [-1] when dropped. *)
 
   val to_history : t -> history
   (** Materialize the restriction as a full history: surviving nodes are

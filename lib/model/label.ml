@@ -12,16 +12,9 @@ let decr item = v ~args:[ item ] "dec"
 
 let equal a b = String.equal a.name b.name && List.equal String.equal a.args b.args
 
-let compare a b =
-  match String.compare a.name b.name with
-  | 0 -> List.compare String.compare a.args b.args
-  | n -> n
-
 let item l = match l.args with [] -> None | x :: _ -> Some x
 
 let pp ppf l =
   match l.args with
   | [] -> Fmt.string ppf l.name
   | args -> Fmt.pf ppf "%s(%a)" l.name Fmt.(list ~sep:(any ",") string) args
-
-let to_string l = Fmt.str "%a" pp l

@@ -29,12 +29,8 @@ val decr : string -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val item : t -> string option
 (** First argument, if any — the data item of conventional leaf labels. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints [name(arg1,arg2)] or just [name] when there are no arguments. *)
-
-val to_string : t -> string

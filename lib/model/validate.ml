@@ -178,8 +178,6 @@ let check h =
   let errs = check_inheritance h errs in
   List.rev errs
 
-let is_valid h = check h = []
-
 (* ------------------------------------------------------------------ *)
 (* Lints: legal histories that silently hit a pessimistic default      *)
 (* ------------------------------------------------------------------ *)

@@ -50,8 +50,6 @@ val check : History.t -> error list
 (** All violations, in schedule order; [[]] means the history is a valid
     composite execution in the sense of the paper. *)
 
-val is_valid : History.t -> bool
-
 (** {1 Lints}
 
     Histories that are {e valid} but silently hit a pessimistic default of

@@ -321,19 +321,3 @@ let to_prometheus t =
         series)
     (families t.histograms);
   Buffer.contents buf
-
-let pp ppf t =
-  List.iter
-    (fun k -> Format.fprintf ppf "%-40s %d@." k (counter_value t k))
-    (sorted_keys t.counters);
-  List.iter
-    (fun k -> Format.fprintf ppf "%-40s %g@." k (Option.get (gauge_value t k)))
-    (sorted_keys t.gauges);
-  List.iter
-    (fun k ->
-      match summary t k with
-      | None -> ()
-      | Some s ->
-        Format.fprintf ppf "%-40s n=%d sum=%g min=%g p50=%g p90=%g p99=%g max=%g@."
-          k s.count s.sum s.min s.p50 s.p90 s.p99 s.max)
-    (sorted_keys t.histograms)

@@ -109,6 +109,3 @@ val to_prometheus : t -> string
     [_count].  Dotted registry names sanitize to underscore form
     ([monitor.append] -> [monitor_append]); families and series are
     sorted, so scrapes are stable across runs. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-metric-per-line dump (sorted). *)

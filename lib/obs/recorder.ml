@@ -110,12 +110,3 @@ let to_json t =
       ("dropped", Json.Int (dropped t));
       ("events", Json.List (List.map event_json (events t)));
     ]
-
-let pp ppf t =
-  iter
-    (fun e ->
-      Format.fprintf ppf "#%d %12.6f %-5s %-8s %s%a@." e.seq e.ts
-        (severity_string e.severity)
-        (if e.cat = "" then "-" else e.cat)
-        e.name Labels.pp e.labels)
-    t

@@ -98,6 +98,3 @@ val to_json : t -> Json.t
     canonical [Labels.series] encoding (label values escaped), so
     [Labels.decode_series] round-trips it from any dump, including the
     tail embedded in evidence reports. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump, one retained event per line, oldest first. *)

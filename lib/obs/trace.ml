@@ -114,19 +114,3 @@ let to_json t =
           @ List.map event_json (events t)) );
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let pp_log ppf t =
-  let by_time =
-    List.stable_sort (fun a b -> compare a.ts b.ts) (events t)
-  in
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%12.1f %-7s %-16s pid=%d tid=%d" e.ts
-        (if e.cat = "" then "-" else e.cat)
-        e.name e.pid e.tid;
-      if e.phase = Complete then Format.fprintf ppf " dur=%.1f" e.dur;
-      List.iter
-        (fun (k, v) -> Format.fprintf ppf " %s=%s" k (Json.to_string v))
-        e.args;
-      Format.fprintf ppf "@.")
-    by_time

@@ -122,6 +122,3 @@ val length : t -> int
 val to_json : t -> Json.t
 (** The Chrome trace-event document:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
-
-val pp_log : Format.formatter -> t -> unit
-(** Human-readable log, one event per line, sorted by timestamp. *)

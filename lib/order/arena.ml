@@ -36,10 +36,6 @@ let make ~rows ~cols =
     cap_rows;
   }
 
-let rows t = t.nrows
-
-let cols t = t.ncols
-
 (* Grow the active window to at least [rows] x [cols].  Existing bits keep
    their (row, column) coordinates; fresh space is zero.  Both dimensions
    over-allocate geometrically so a streaming caller pays O(1) amortized
@@ -108,24 +104,8 @@ let set t i j =
   let b = Char.code (Bigarray.Array1.unsafe_get t.buf k) in
   Bigarray.Array1.unsafe_set t.buf k (Char.unsafe_chr (b lor (1 lsl (j land 7))))
 
-let unset t i j =
-  check t "unset" i j;
-  let k = (i * t.stride) + (j lsr 3) in
-  let b = Char.code (Bigarray.Array1.unsafe_get t.buf k) in
-  Bigarray.Array1.unsafe_set t.buf k
-    (Char.unsafe_chr (b land lnot (1 lsl (j land 7))))
-
 let get t i j =
   check t "get" i j;
-  let k = (i * t.stride) + (j lsr 3) in
-  Char.code (Bigarray.Array1.unsafe_get t.buf k) land (1 lsl (j land 7)) <> 0
-
-(* Unchecked probe that treats out-of-window coordinates as absent — the
-   saturation loop's membership test, where fresh nodes may not have been
-   ensured yet. *)
-let mem t i j =
-  i >= 0 && i < t.nrows && j >= 0 && j < t.ncols
-  &&
   let k = (i * t.stride) + (j lsr 3) in
   Char.code (Bigarray.Array1.unsafe_get t.buf k) land (1 lsl (j land 7)) <> 0
 
@@ -150,299 +130,3 @@ let row_iter t i f =
       done
     end
   done
-
-(* First set bit of row [i] at column >= [j], or -1: the cursor step of the
-   iterative graph searches below. *)
-let next_in_row t i j =
-  let base = i * t.stride in
-  let nb = bytes_for t.ncols in
-  let res = ref (-1) in
-  let k = ref (j lsr 3) in
-  if !k < nb then begin
-    (* Partial first byte. *)
-    let b =
-      Char.code (Bigarray.Array1.unsafe_get t.buf (base + !k))
-      land lnot ((1 lsl (j land 7)) - 1)
-    in
-    if b <> 0 then begin
-      let bits = ref b and bit = ref 0 in
-      while !bits land 1 = 0 do incr bit; bits := !bits lsr 1 done;
-      res := (!k lsl 3) + !bit
-    end
-    else begin
-      incr k;
-      while !res < 0 && !k < nb do
-        let b = Char.code (Bigarray.Array1.unsafe_get t.buf (base + !k)) in
-        if b <> 0 then begin
-          let bits = ref b and bit = ref 0 in
-          while !bits land 1 = 0 do incr bit; bits := !bits lsr 1 done;
-          res := (!k lsl 3) + !bit
-        end;
-        incr k
-      done
-    end
-  end;
-  if !res >= t.ncols then -1 else !res
-
-let row_is_empty t i =
-  if i < 0 || i >= t.nrows then invalid_arg "Arena.row_is_empty: bad row";
-  next_in_row t i 0 < 0
-
-let iter f t =
-  for i = 0 to t.nrows - 1 do
-    row_iter t i (fun j -> f i j)
-  done
-
-let cardinal t =
-  let n = ref 0 in
-  iter (fun _ _ -> incr n) t;
-  !n
-
-let copy t =
-  let r = make ~rows:t.nrows ~cols:t.ncols in
-  iter (fun i j -> set r i j) t;
-  r
-
-let equal t1 t2 =
-  t1.nrows = t2.nrows && t1.ncols = t2.ncols
-  &&
-  let ok = ref true in
-  (try
-     iter (fun i j -> if not (get t2 i j) then raise Exit) t1;
-     iter (fun i j -> if not (get t1 i j) then raise Exit) t2
-   with Exit -> ok := false);
-  !ok
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun i j -> acc := (i, j) :: !acc) t;
-  List.rev !acc
-
-(* ------------------------------------------------------------------ *)
-(* Graph algorithms over square arenas (indices 0 .. rows-1).  Ports of
-   the {!Bitrel} kernels at byte granularity: same traversal orders, so
-   the outputs agree bit for bit with the word-parallel versions — the
-   qcheck equivalence suite pins this.                                  *)
-(* ------------------------------------------------------------------ *)
-
-let square t what =
-  if t.nrows <> t.ncols then
-    invalid_arg (Printf.sprintf "Arena.%s: %d x %d is not square" what t.nrows t.ncols)
-
-(* Tarjan SCC over compact indices; ascending component number is reverse
-   topological, exactly as in [Bitrel.scc_condensation]. *)
-let scc_condensation t =
-  square t "scc_condensation";
-  let n = t.nrows in
-  let index = Array.make (max 1 n) (-1) in
-  let lowlink = Array.make (max 1 n) 0 in
-  let on_stack = Array.make (max 1 n) false in
-  let comp_of = Array.make (max 1 n) (-1) in
-  let cursor = Array.make (max 1 n) 0 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let ncomps = ref 0 in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      let dfs = ref [ root ] in
-      index.(root) <- !counter;
-      lowlink.(root) <- !counter;
-      incr counter;
-      stack := root :: !stack;
-      on_stack.(root) <- true;
-      cursor.(root) <- 0;
-      while !dfs <> [] do
-        let v = List.hd !dfs in
-        let next = ref (-1) in
-        let continue = ref true in
-        while !continue do
-          let cand = next_in_row t v cursor.(v) in
-          if cand < 0 then continue := false
-          else begin
-            cursor.(v) <- cand + 1;
-            if index.(cand) < 0 then begin
-              next := cand;
-              continue := false
-            end
-            else if on_stack.(cand) then
-              lowlink.(v) <- min lowlink.(v) index.(cand)
-          end
-        done;
-        match !next with
-        | -1 ->
-          dfs := List.tl !dfs;
-          (match !dfs with
-          | parent :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          | [] -> ());
-          if lowlink.(v) = index.(v) then begin
-            let c = !ncomps in
-            incr ncomps;
-            let rec pop () =
-              match !stack with
-              | [] -> ()
-              | w :: rest ->
-                stack := rest;
-                on_stack.(w) <- false;
-                comp_of.(w) <- c;
-                if w <> v then pop ()
-            in
-            pop ()
-          end
-        | w ->
-          index.(w) <- !counter;
-          lowlink.(w) <- !counter;
-          incr counter;
-          stack := w :: !stack;
-          on_stack.(w) <- true;
-          cursor.(w) <- 0;
-          dfs := w :: !dfs
-      done
-    end
-  done;
-  (comp_of, !ncomps)
-
-(* Byte-wise OR of row [src] of [from] into row [dst] of [into]; both
-   arenas must share the column count. *)
-let or_row_into ~into dst from src =
-  let nb = bytes_for into.ncols in
-  let db = dst * into.stride and sb = src * from.stride in
-  for k = 0 to nb - 1 do
-    let b =
-      Char.code (Bigarray.Array1.unsafe_get into.buf (db + k))
-      lor Char.code (Bigarray.Array1.unsafe_get from.buf (sb + k))
-    in
-    Bigarray.Array1.unsafe_set into.buf (db + k) (Char.unsafe_chr b)
-  done
-
-let transitive_closure t =
-  square t "transitive_closure";
-  let n = t.nrows in
-  let comp_of, ncomps = scc_condensation t in
-  (* Component member masks and reach sets, one bit row per component. *)
-  let members = make ~rows:(max 1 ncomps) ~cols:(max 1 n) in
-  let reach = make ~rows:(max 1 ncomps) ~cols:(max 1 n) in
-  let csize = Array.make (max 1 ncomps) 0 in
-  let cyclic = Array.make (max 1 ncomps) false in
-  for v = 0 to n - 1 do
-    let c = comp_of.(v) in
-    set members c v;
-    csize.(c) <- csize.(c) + 1;
-    if get t v v then cyclic.(c) <- true
-  done;
-  for c = 0 to ncomps - 1 do
-    if csize.(c) > 1 then cyclic.(c) <- true
-  done;
-  let comp_members = Array.make (max 1 ncomps) [] in
-  for v = n - 1 downto 0 do
-    comp_members.(comp_of.(v)) <- v :: comp_members.(comp_of.(v))
-  done;
-  let stamp = Array.make (max 1 ncomps) (-1) in
-  for c = 0 to ncomps - 1 do
-    List.iter
-      (fun v ->
-        row_iter t v (fun w ->
-            let d = comp_of.(w) in
-            if d <> c && stamp.(d) <> c then begin
-              stamp.(d) <- c;
-              or_row_into ~into:reach c members d;
-              or_row_into ~into:reach c reach d
-            end))
-      comp_members.(c);
-    if cyclic.(c) then or_row_into ~into:reach c members c
-  done;
-  let r = make ~rows:n ~cols:n in
-  for v = 0 to n - 1 do
-    or_row_into ~into:r v reach comp_of.(v)
-  done;
-  r
-
-let find_cycle t =
-  square t "find_cycle";
-  let n = t.nrows in
-  let colour = Array.make (max 1 n) 0 in
-  let parent = Array.make (max 1 n) (-1) in
-  let cursor = Array.make (max 1 n) 0 in
-  let result = ref None in
-  let root = ref 0 in
-  while !result = None && !root < n do
-    if colour.(!root) = 0 then begin
-      let dfs = ref [ !root ] in
-      colour.(!root) <- 1;
-      cursor.(!root) <- 0;
-      while !result = None && !dfs <> [] do
-        let v = List.hd !dfs in
-        let next = ref (-1) in
-        let continue = ref true in
-        while !continue do
-          let cand = next_in_row t v cursor.(v) in
-          if cand < 0 then continue := false
-          else begin
-            cursor.(v) <- cand + 1;
-            match colour.(cand) with
-            | 0 ->
-              next := cand;
-              continue := false
-            | 1 ->
-              let rec walk acc u =
-                if u = cand then u :: acc else walk (u :: acc) parent.(u)
-              in
-              result := Some (walk [] v);
-              continue := false
-            | _ -> ()
-          end
-        done;
-        if !result = None then
-          match !next with
-          | -1 ->
-            colour.(v) <- 2;
-            dfs := List.tl !dfs
-          | w ->
-            parent.(w) <- v;
-            colour.(w) <- 1;
-            cursor.(w) <- 0;
-            dfs := w :: !dfs
-      done
-    end;
-    incr root
-  done;
-  !result
-
-let is_acyclic t = find_cycle t = None
-
-let topo_sort t =
-  square t "topo_sort";
-  let n = t.nrows in
-  let indeg = Array.make (max 1 n) 0 in
-  iter (fun _ j -> indeg.(j) <- indeg.(j) + 1) t;
-  (* Frontier as a bit row of its own, minimum index extracted first: the
-     same ascending tie-break as [Bitrel.topo_sort]. *)
-  let frontier = make ~rows:1 ~cols:(max 1 n) in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then set frontier 0 v
-  done;
-  let acc = ref [] in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let v = next_in_row frontier 0 0 in
-    if v < 0 then continue := false
-    else begin
-      unset frontier 0 v;
-      acc := v :: !acc;
-      incr count;
-      row_iter t v (fun w ->
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then set frontier 0 w)
-    end
-  done;
-  if !count = n then Some (List.rev !acc) else None
-
-let quotient ~n cls t =
-  square t "quotient";
-  let q = make ~rows:n ~cols:n in
-  iter
-    (fun a b ->
-      let a' = cls a and b' = cls b in
-      if a' <> b' then set q a' b')
-    t;
-  q

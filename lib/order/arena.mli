@@ -10,11 +10,9 @@
 
     Rows and columns are plain dense indices (the codebase's node
     identifiers are dense by construction); there is no id compaction
-    layer.  The square-matrix algorithms at the bottom are byte-granular
-    ports of the {!Bitrel} kernels with identical traversal orders, so
-    their outputs — closures, cycle witnesses, topological sorts,
-    quotients — agree with the word-parallel versions bit for bit (pinned
-    by the qcheck equivalence suite).
+    layer.  The interface is what {!Repro_core.Observed}'s dense mirror
+    of the observed order needs: grow, reset, set, probe, and iterate a
+    row.
 
     Values are mutable and single-domain, like {!Bitrel}. *)
 
@@ -23,12 +21,6 @@ type t
 val make : rows:int -> cols:int -> t
 (** Zeroed arena with the given active window.  Raises [Invalid_argument]
     on negative dimensions. *)
-
-val rows : t -> int
-(** Active row count. *)
-
-val cols : t -> int
-(** Active column count (bits per row). *)
 
 val ensure : t -> rows:int -> cols:int -> unit
 (** Grow the active window (never shrinks).  Existing bits keep their
@@ -53,62 +45,8 @@ val set : t -> int -> int -> unit
 (** [set t i j] sets bit [(i, j)].  Raises [Invalid_argument] outside the
     active window. *)
 
-val unset : t -> int -> int -> unit
-
 val get : t -> int -> int -> bool
 (** Raises [Invalid_argument] outside the active window. *)
 
-val mem : t -> int -> int -> bool
-(** Like {!get} but [false] outside the active window — the probe for
-    saturation loops where a node may not have been ensured yet. *)
-
 val row_iter : t -> int -> (int -> unit) -> unit
 (** Set columns of a row, ascending. *)
-
-val next_in_row : t -> int -> int -> int
-(** [next_in_row t i j] is the first set column of row [i] at or after
-    [j], or [-1] — the cursor step of iterative searches. *)
-
-val row_is_empty : t -> int -> bool
-
-val iter : (int -> int -> unit) -> t -> unit
-(** Ascending lexicographic order of [(row, col)]. *)
-
-val cardinal : t -> int
-
-val copy : t -> t
-(** Snapshot with a tight capacity. *)
-
-val equal : t -> t -> bool
-(** Same active window and same bits. *)
-
-val to_list : t -> (int * int) list
-
-(** {1 Graph algorithms}
-
-    These require a square arena ([rows t = cols t]) read as an adjacency
-    matrix over indices [0 .. rows t - 1]; they raise [Invalid_argument]
-    otherwise. *)
-
-val scc_condensation : t -> int array * int
-(** [comp_of] and component count; components are numbered in Tarjan
-    completion order, so ascending component number is reverse
-    topological. *)
-
-val transitive_closure : t -> t
-(** Fresh closure over the same index space; self-pairs appear exactly
-    for nodes on cycles, matching [Bitrel.transitive_closure]. *)
-
-val find_cycle : t -> int list option
-(** Some cycle [n1 -> ... -> nk -> n1], or [None] when acyclic; the same
-    witness [Bitrel.find_cycle] returns on the same pairs. *)
-
-val is_acyclic : t -> bool
-
-val topo_sort : t -> int list option
-(** Kahn with minimum-index-first tie-break, equal to [Bitrel.topo_sort]
-    over a dense universe; [None] on a cycle. *)
-
-val quotient : n:int -> (int -> int) -> t -> t
-(** Contract by a clustering function into a fresh [n] x [n] arena;
-    intra-cluster pairs are dropped. *)

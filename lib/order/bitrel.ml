@@ -51,8 +51,6 @@ let size t = Array.length t.ids
 
 let universe t = Int_set.of_list (Array.to_list t.ids)
 
-let id_of_idx t i = t.ids.(i)
-
 let idx_of_id t v =
   match t.index with
   | Direct { off; map } ->
@@ -141,9 +139,6 @@ let fold f t acc =
 
 let to_list t = List.rev (fold (fun a b acc -> (a, b) :: acc) t [])
 
-let equal t1 t2 =
-  same_universe t1 t2 && Array.for_all2 (fun r1 r2 -> Array.for_all2 ( = ) r1 r2) t1.rows t2.rows
-
 let union_into ~into t =
   if not (same_universe into t) then
     invalid_arg "Bitrel.union_into: different universes";
@@ -152,45 +147,6 @@ let union_into ~into t =
       let dst = into.rows.(i) in
       Array.iteri (fun w bits -> dst.(w) <- dst.(w) lor bits) row)
     t.rows
-
-(* Universe growth for the incremental monitor: appended ids sort after
-   every existing id, so existing compact indices (and therefore existing
-   bit positions) survive unchanged and rows copy with one blit each. *)
-let extend t new_ids =
-  let n_old = Array.length t.ids in
-  let n_new = Array.length new_ids in
-  if n_new = 0 then copy t
-  else begin
-    for i = 1 to n_new - 1 do
-      if new_ids.(i - 1) >= new_ids.(i) then
-        invalid_arg "Bitrel.extend: ids must be strictly increasing"
-    done;
-    if n_old > 0 && new_ids.(0) <= t.ids.(n_old - 1) then
-      invalid_arg "Bitrel.extend: ids must exceed the existing universe";
-    let ids = Array.append t.ids new_ids in
-    let n = n_old + n_new in
-    let index =
-      let span = ids.(n - 1) - ids.(0) + 1 in
-      if span <= (4 * n) + 1024 then begin
-        let map = Array.make span (-1) in
-        Array.iteri (fun i v -> map.(v - ids.(0)) <- i) ids;
-        Direct { off = ids.(0); map }
-      end
-      else begin
-        let tbl = Hashtbl.create (max 16 n) in
-        Array.iteri (fun i v -> Hashtbl.replace tbl v i) ids;
-        Table tbl
-      end
-    in
-    let words = max 1 ((n + bpw - 1) / bpw) in
-    let rows =
-      Array.init n (fun i ->
-          let row = Array.make words 0 in
-          if i < n_old then Array.blit t.rows.(i) 0 row 0 t.words;
-          row)
-    in
-    { ids; index; words; rows }
-  end
 
 let restrict ~keep t =
   let r = create (Int_set.filter keep (universe t)) in
@@ -449,8 +405,3 @@ let quotient ~universe cls t =
       if a' <> b' then add q a' b')
     t;
   q
-
-let pp ppf t =
-  Fmt.pf ppf "{%a}"
-    Fmt.(list ~sep:(any ";@ ") (pair ~sep:(any "->") int int))
-    (to_list t)

@@ -38,9 +38,6 @@ val size : t -> int
 
 val universe : t -> Int_set.t
 
-val id_of_idx : t -> int -> id
-(** External identifier of a compact index (0-based, ascending). *)
-
 val idx_of_id : t -> id -> int option
 
 val add : t -> id -> id -> unit
@@ -63,9 +60,6 @@ val fold : (id -> id -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> (id * id) list
 
-val equal : t -> t -> bool
-(** Same universe and same pairs. *)
-
 val union_into : into:t -> t -> unit
 (** Word-parallel in-place union.  Raises [Invalid_argument] when the
     universes differ. *)
@@ -73,15 +67,6 @@ val union_into : into:t -> t -> unit
 val restrict : keep:(id -> bool) -> t -> t
 (** Sub-relation (and sub-universe) induced by the nodes satisfying
     [keep]. *)
-
-val extend : t -> id array -> t
-(** [extend t ids] is a fresh relation over [universe t] enlarged with
-    [ids] (strictly increasing, every one greater than the largest node of
-    [t] — raises [Invalid_argument] otherwise), holding the same pairs.
-    Because appended identifiers are larger than every existing one,
-    compact indices of existing nodes are preserved and rows are copied
-    word-wise; [t] itself is untouched, so a monitor can keep the previous
-    value for rollback.  Cost: O(size · words). *)
 
 val transitive_closure : t -> t
 (** Smallest transitive super-relation, over the same universe: SCC
@@ -104,5 +89,3 @@ val quotient : universe:Int_set.t -> (id -> id) -> t -> t
 (** Contract by a clustering function into a fresh relation over the given
     cluster universe; intra-cluster pairs are dropped.  Raises
     [Invalid_argument] if the function maps a pair outside [universe]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,7 +24,5 @@ end
 
 module Pair_set = Set.Make (Pair)
 
-let pp_id = Fmt.int
-
 let pp_set ppf s =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (Int_set.elements s)

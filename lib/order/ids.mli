@@ -23,6 +23,4 @@ end
 
 module Pair_set : Set.S with type elt = Pair.t
 
-val pp_id : Format.formatter -> id -> unit
-
 val pp_set : Format.formatter -> Int_set.t -> unit

@@ -86,8 +86,6 @@ let create ?(capacity = 16) () =
     bwd_n = 0;
   }
 
-let n_nodes t = t.n
-
 let n_edges t = t.edges
 
 let resident_words t =
@@ -140,8 +138,6 @@ let ensure_nodes t n =
     t.n <- t.n + 1
   done
 
-let add_node t = ensure_nodes t (t.n + 1)
-
 let rec find t v =
   let p = t.uf.(v) in
   if p = v then v
@@ -150,10 +146,6 @@ let rec find t v =
     t.uf.(v) <- g;
     if g = p then p else find t g
   end
-
-let rep = find
-
-let same_component t a b = find t a = find t b
 
 let acyclic t = t.n_cyclic = 0
 
@@ -330,16 +322,6 @@ let add_edge t a b =
     if cycle then t.ord.(base) <- pool.(Array.length dminus)
   end
 
-(* Members of [v]'s component, in member-list order starting at [v]. *)
-let component t v =
-  let acc = ref [ v ] in
-  let m = ref t.nxt.(v) in
-  while !m <> v do
-    acc := !m :: !acc;
-    m := t.nxt.(!m)
-  done;
-  List.rev !acc
-
 let find_cycle t =
   if t.n_cyclic = 0 then None
   else begin
@@ -384,20 +366,4 @@ let find_cycle t =
       done;
       !result
     end
-  end
-
-(* Canonical Kahn sort over the node graph, identical tie-breaks to
-   [Bitrel.topo_sort] over the dense universe; test-path only (the hot
-   path reads the maintained [pos] keys instead). *)
-let topo_sort t =
-  if t.n_cyclic > 0 then None
-  else if t.n = 0 then Some []
-  else begin
-    let a = Arena.make ~rows:t.n ~cols:t.n in
-    for v = 0 to t.n - 1 do
-      for k = 0 to t.out_n.(v) - 1 do
-        Arena.set a v t.out_e.(v).(k)
-      done
-    done;
-    Arena.topo_sort a
   end

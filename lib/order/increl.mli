@@ -2,7 +2,7 @@
     maintenance — the O(δ)-per-edge kernel of the monitor's append path.
 
     A {!t} holds a growing directed graph over dense node indices
-    [0 .. n_nodes t - 1] and maintains, across {!add_edge} calls, a
+    (grown by {!ensure_nodes}) and maintains, across {!add_edge} calls, a
     union-find contraction of its strongly connected components together
     with a valid topological order of the condensation (Pearce–Kelly:
     inserting an edge reorders only the representatives inside the
@@ -24,8 +24,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** An empty graph; [capacity] pre-sizes the node arrays. *)
 
-val n_nodes : t -> int
-
 val n_edges : t -> int
 (** Inserted edge count, duplicates included. *)
 
@@ -38,21 +36,11 @@ val ensure_nodes : t -> int -> unit
 (** Grow the node universe to at least the given count; fresh nodes are
     isolated and ordered after every existing one. *)
 
-val add_node : t -> unit
-
 val add_edge : t -> int -> int -> unit
 (** [add_edge t a b] inserts a -> b, restoring the maintained order (and
     contracting a component when the edge closes a cycle) in time
     proportional to the affected region.  Raises [Invalid_argument] when
     either node is outside the universe. *)
-
-val rep : t -> int -> int
-(** Union-find representative of the node's component. *)
-
-val same_component : t -> int -> int -> bool
-
-val component : t -> int -> int list
-(** Members of the node's component. *)
 
 val acyclic : t -> bool
 (** O(1): no component contains a cycle (a multi-node component or a
@@ -68,9 +56,3 @@ val pos : t -> int -> int
 val find_cycle : t -> int list option
 (** Some cycle [n1 -> ... -> nk -> n1] over inserted edges, or [None]
     exactly when {!acyclic}. *)
-
-val topo_sort : t -> int list option
-(** Canonical Kahn sort of the whole node universe with ascending-index
-    tie-breaks — equal to [Bitrel.topo_sort] over the same dense universe
-    and pairs, [None] on a cycle.  O(n²/8) scratch; test and
-    witness-canonicalization path, not the append path. *)

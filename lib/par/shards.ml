@@ -17,8 +17,6 @@ type 'job shard = {
 
 type 'job t = { shards : 'job shard array }
 
-let size t = Array.length t.shards
-
 let shard_index t key = Hashtbl.hash key mod Array.length t.shards
 
 let worker run sh () =
@@ -68,8 +66,6 @@ let submit_shard sh job =
     Mutex.unlock sh.mu;
     true
   end
-
-let submit t ~key job = submit_shard t.shards.(shard_index t key) job
 
 let submit_to t index job =
   if index < 0 || index >= Array.length t.shards then

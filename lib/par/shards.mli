@@ -22,20 +22,15 @@ val create : shards:int -> run:(int -> 'job -> unit) -> 'job t
     responsible for its own error reporting.  Raises [Invalid_argument]
     when [shards <= 0]. *)
 
-val size : 'job t -> int
-
 val shard_index : 'job t -> string -> int
-(** The shard a key is pinned to: a stable hash of the key modulo
-    {!size}. *)
-
-val submit : 'job t -> key:string -> 'job -> bool
-(** Enqueue a job on its key's shard.  [false] when the set is draining
-    (the job was not enqueued). *)
+(** The shard a key is pinned to: a stable hash of the key modulo the
+    shard count. *)
 
 val submit_to : 'job t -> int -> 'job -> bool
-(** Enqueue on an explicit shard index — the barrier/broadcast path
-    (e.g. a stats fan-out to every shard).  Raises [Invalid_argument] on
-    an out-of-range index. *)
+(** Enqueue a job on a shard — its key's {!shard_index}, or any index
+    for a barrier/broadcast (e.g. a stats fan-out to every shard).
+    [false] when the set is draining (the job was not enqueued).  Raises
+    [Invalid_argument] on an out-of-range index. *)
 
 val drain : 'job t -> unit
 (** Graceful shutdown: refuse new jobs, let every shard finish its queue,

@@ -144,16 +144,10 @@ val drain : t -> unit
 (** Graceful shutdown: stop accepting work, let every shard finish its
     queued requests, and join the worker domains.  Idempotent. *)
 
-val metrics_snapshot : t -> Repro_obs.Metrics.t
-(** Merge every shard's registry into a fresh one (counters add,
-    histograms add bucket-wise; series keep their [shard=i] label).
-    Shard registries are written without locks on the worker domains, so
-    call this only when no requests are in flight — after the responses
-    you waited for, or after {!drain}. *)
-
 val spans_snapshot : t -> Repro_obs.Span.t
 (** Drain every shard's span collector, in shard index order, into a
-    fresh collector (recording order preserved per shard, like
-    {!metrics_snapshot}'s merge) and return it.  Draining empties the
-    shard collectors.  Same quiescence requirement as
-    {!metrics_snapshot}. *)
+    fresh collector (recording order preserved per shard) and return it.
+    Draining empties the shard collectors.  Shard collectors are written
+    without locks on the worker domains, so call this only when no
+    requests are in flight — after the responses you waited for, or
+    after {!drain}. *)

@@ -66,7 +66,7 @@ type params = {
   seed : int;
   certify_full_recheck : bool;
       (** {!Certify} only.  [false] (the default): certification keeps an
-          incremental {!Repro_core.Monitor} over the committed prefix —
+          incremental {!Repro_core.Engine} session over the committed prefix —
           append the candidate, take the verdict, undo on reject.
           [true]: the legacy oracle — re-run the full batch checker on the
           whole prefix at every commit attempt.  Identical verdicts (the
@@ -122,7 +122,7 @@ val run :
     record distributions; gauges [sim.makespan], [sim.mean_latency] and
     [sim.throughput] summarize the run.  The incremental certification
     path additionally feeds the [monitor.*] metrics of
-    {!Repro_core.Monitor}.
+    {!Repro_core.Engine.extend}.
 
     With [recorder] (default {!Repro_obs.Recorder.null}), the scheduling
     decisions that change an execution's fate are kept as a bounded

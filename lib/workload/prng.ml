@@ -11,8 +11,6 @@ let bits64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = bits64 t }
-
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Mask to 62 bits so the conversion to a native 63-bit int stays

@@ -8,10 +8,6 @@ type t
 
 val create : seed:int -> t
 
-val split : t -> t
-(** An independent stream derived from the current state; the original
-    stream advances by one draw. *)
-
 val bits64 : t -> int64
 
 val int : t -> int -> int
