@@ -201,7 +201,7 @@ let monitor_arg =
 
 let window_arg =
   let doc =
-    "Monitor mode: bounded-memory streaming.  Once the active suffix \
+    "With $(b,--monitor): bounded-memory streaming.  Once the active suffix \
      reaches $(docv) nodes after an accepted append, the certified prefix \
      is folded into a compact summary and its dense per-node state \
      released, so the session's resident memory is proportional to the \
@@ -230,7 +230,7 @@ let metrics_out_arg =
 
 let trace_out_arg =
   let doc =
-    "Monitor mode: write a Chrome trace_event JSON of the run's span trees \
+    "With $(b,--monitor): write a Chrome trace_event JSON of the run's span trees \
      to $(docv) — one trace per monitor append, each containing the \
      engine's append span with its certification path label \
      (initial/fast/delta/kernel/full) and node/cluster counts.  Load in \
